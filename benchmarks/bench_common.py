@@ -7,7 +7,10 @@ import datetime
 import json
 import os
 import subprocess
+import time
 from typing import Mapping, Tuple, Union
+
+import numpy as np
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 REPORT_PATH = os.path.join(OUTPUT_DIR, "report.txt")
@@ -85,3 +88,45 @@ def write_bench_json(
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return path
+
+
+def bare_leapfrog_seconds(sim, n_steps: int) -> float:
+    """Time ``n_steps`` of a fresh ``ScalarWaveSimulator``'s packed
+    leapfrog update with every hook stripped.
+
+    Same buffers, neighbour gathers, damped update, plane rotation and
+    source injection as ``ScalarWaveSimulator._advance``, but no step
+    counter, heartbeat, phase timer, fault site, watchdog or checkpoint
+    check -- the baseline the overhead benches hold the production loop
+    against.
+    """
+    n = sim._n_cells
+    c2 = sim._laplacian_scale
+    dt = sim.dt
+    neighbours = sim._neighbours
+    count = sim._neighbour_count
+    keep = sim._damp_keep
+    norm = sim._damp_norm
+    gather = sim._gather
+    lap, scratch = gather[0], gather[1]
+    u, prev, new = sim._u, sim._u_prev, sim._u_next
+    t = sim.t
+    t0 = time.perf_counter()
+    for _ in range(n_steps):
+        live, live_new = u[:n], new[:n]
+        np.take(u, neighbours, out=gather, mode="clip")
+        lap += gather[1]
+        lap += gather[2]
+        lap += gather[3]
+        np.multiply(count, live, out=scratch)
+        lap -= scratch
+        np.multiply(live, 2.0, out=live_new)
+        np.multiply(keep, prev[:n], out=scratch)
+        live_new -= scratch
+        lap *= c2
+        live_new += lap
+        live_new /= norm
+        prev, u, new = u, new, prev
+        t += dt
+        sim._apply_sources(t, u)
+    return time.perf_counter() - t0

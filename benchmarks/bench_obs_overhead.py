@@ -3,12 +3,13 @@ hot loop.
 
 The observability contract (repro.obs) is that instrumented code with
 tracing *disabled* pays a single flag check per call site -- the budget
-is < 5 % wall-time overhead on a 2k-step FDTD run versus an
-uninstrumented replica of the same leapfrog loop.  This bench times
+is < 5 % wall-time overhead on a 2k-step FDTD run versus the same
+packed leapfrog update with every hook stripped.  This bench times
 three variants on an identical 96 x 96 canvas:
 
-* ``baseline``  -- a local re-implementation of the pre-instrumentation
-  leapfrog update, no step counter / heartbeat / observer check;
+* ``baseline``  -- ``bench_common.bare_leapfrog_seconds``: the
+  simulator's own buffers and update, no step counter / heartbeat /
+  observer / resilience check;
 * ``disabled``  -- ``ScalarWaveSimulator.step`` with the observer
   detached (the production default), the variant under budget;
 * ``enabled``   -- the same with spans + metrics active, for scale.
@@ -24,7 +25,11 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_common import emit, write_bench_json  # noqa: E402
+from bench_common import (  # noqa: E402
+    bare_leapfrog_seconds,
+    emit,
+    write_bench_json,
+)
 
 try:
     from repro import obs
@@ -49,36 +54,8 @@ def _make_sim() -> ScalarWaveSimulator:
 
 
 def _baseline_seconds() -> float:
-    """Time an uninstrumented replica of the simulator's leapfrog loop.
-
-    Mirrors ``ScalarWaveSimulator._advance`` minus the step counter and
-    heartbeat hook: same buffers, same Laplacian stencil, same damping
-    update and source injection per step.
-    """
-    sim = _make_sim()
-    c2 = sim._laplacian_scale
-    dt = sim.dt
-    masks = sim._neighbour_masks
-    neighbours = (masks[(0, 1)].astype(float) + masks[(0, -1)]
-                  + masks[(1, 1)] + masks[(1, -1)])
-    t0 = time.perf_counter()
-    for _ in range(N_STEPS):
-        lap = (
-            np.roll(sim.u, 1, axis=0) * masks[(0, 1)]
-            + np.roll(sim.u, -1, axis=0) * masks[(0, -1)]
-            + np.roll(sim.u, 1, axis=1) * masks[(1, 1)]
-            + np.roll(sim.u, -1, axis=1) * masks[(1, -1)]
-        )
-        lap -= neighbours * sim.u
-        damp = sim.gamma * dt
-        new = ((2.0 * sim.u - (1.0 - damp) * sim.u_prev + c2 * lap)
-               / (1.0 + damp))
-        new *= sim.mask
-        sim.u_prev = sim.u
-        sim.u = new
-        sim.t += dt
-        sim._apply_sources(sim.t, sim.u)
-    return time.perf_counter() - t0
+    """Time the simulator's leapfrog update with all hooks off."""
+    return bare_leapfrog_seconds(_make_sim(), N_STEPS)
 
 
 def _instrumented_seconds(enabled: bool) -> float:

@@ -3,14 +3,14 @@ hot loop.
 
 The resilience contract (repro.resilience) mirrors repro.obs: with no
 watchdog attached, no checkpoint manager configured and no fault plan
-armed, ``ScalarWaveSimulator.step`` must take the plain ``_advance``
-path and pay only the per-call dispatch checks -- the budget is < 5 %
-wall-time overhead on a 2k-step FDTD run versus an uninstrumented
-replica of the same leapfrog loop.  This bench times four variants on
-an identical 96 x 96 canvas:
+armed, the leapfrog loop of ``ScalarWaveSimulator.step`` pays only
+its per-step hook checks -- the budget is < 5 % wall-time overhead on
+a 2k-step FDTD run versus the same packed update with every hook
+stripped.  This bench times four variants on an identical 96 x 96
+canvas:
 
-* ``baseline``  -- a local re-implementation of the pre-instrumentation
-  leapfrog update (shared with bench_obs_overhead's methodology);
+* ``baseline``  -- ``bench_common.bare_leapfrog_seconds`` (shared with
+  bench_obs_overhead);
 * ``disabled``  -- ``ScalarWaveSimulator.step`` with no watchdog, no
   checkpointing and no fault plan (the production default), the
   variant under budget;
@@ -31,7 +31,11 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_common import emit, write_bench_json  # noqa: E402
+from bench_common import (  # noqa: E402
+    bare_leapfrog_seconds,
+    emit,
+    write_bench_json,
+)
 
 try:
     from repro.fdtd import ScalarWaveSimulator
@@ -56,36 +60,8 @@ def _make_sim(watchdog=None) -> ScalarWaveSimulator:
 
 
 def _baseline_seconds() -> float:
-    """Time an uninstrumented replica of the simulator's leapfrog loop.
-
-    Mirrors ``ScalarWaveSimulator._advance`` minus the step counter,
-    heartbeat hook and resilience dispatch: same buffers, same
-    Laplacian stencil, same damping update and source injection.
-    """
-    sim = _make_sim()
-    c2 = sim._laplacian_scale
-    dt = sim.dt
-    masks = sim._neighbour_masks
-    neighbours = (masks[(0, 1)].astype(float) + masks[(0, -1)]
-                  + masks[(1, 1)] + masks[(1, -1)])
-    t0 = time.perf_counter()
-    for _ in range(N_STEPS):
-        lap = (
-            np.roll(sim.u, 1, axis=0) * masks[(0, 1)]
-            + np.roll(sim.u, -1, axis=0) * masks[(0, -1)]
-            + np.roll(sim.u, 1, axis=1) * masks[(1, 1)]
-            + np.roll(sim.u, -1, axis=1) * masks[(1, -1)]
-        )
-        lap -= neighbours * sim.u
-        damp = sim.gamma * dt
-        new = ((2.0 * sim.u - (1.0 - damp) * sim.u_prev + c2 * lap)
-               / (1.0 + damp))
-        new *= sim.mask
-        sim.u_prev = sim.u
-        sim.u = new
-        sim.t += dt
-        sim._apply_sources(sim.t, sim.u)
-    return time.perf_counter() - t0
+    """Time the simulator's leapfrog update with all hooks off."""
+    return bare_leapfrog_seconds(_make_sim(), N_STEPS)
 
 
 def _variant_seconds(watchdog=None, plan=None) -> float:

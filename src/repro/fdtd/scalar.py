@@ -16,6 +16,14 @@ point so the simulated wavelength matches the design wavelength; the
 weak dispersion of the true magnon branch around the operating point is
 irrelevant for monochromatic steady states.
 
+Only the mask's *live* cells are stepped: the field is stored packed,
+one entry per live cell in row-major order plus a trailing ghost cell
+that is always zero.  Each cell's four neighbours are gathered through
+index arrays built once at construction, with dead or off-canvas
+neighbours pointing at the ghost.  A gate canvas is only ~6-8 %
+waveguide, so this skips the dead bulk entirely; 2-D planes are
+unpacked only where the API hands them out.
+
 Outputs: space-time fields, steady-state complex envelopes (lock-in
 demodulated per cell) from which amplitude and phase maps are read.
 """
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +51,10 @@ class WaveSource:
     Attributes
     ----------
     mask:
-        Boolean ``(ny, nx)`` cell mask of the source region.
+        Boolean ``(ny, nx)`` cell mask of the source region.  Only the
+        region's cells on the simulator's waveguide mask are driven;
+        a region with none there is rejected by
+        :meth:`ScalarWaveSimulator.add_source`.
     amplitude:
         Drive amplitude (arbitrary units; logic only uses ratios).
     phase:
@@ -83,6 +94,10 @@ class WaveSource:
 class ScalarWaveSimulator:
     """Leapfrog FDTD for the damped 2-D wave equation on a mask.
 
+    The state is packed over the mask's live cells (see the module
+    docstring); :attr:`u` and :attr:`u_prev` unpack it into read-only
+    ``(ny, nx)`` planes on demand.
+
     Parameters
     ----------
     mask:
@@ -109,8 +124,8 @@ class ScalarWaveSimulator:
         Heartbeat period in steps (default 200).
     watchdog:
         Optional :class:`~repro.resilience.guardrails.FieldWatchdog`
-        observing the field after each step (self-throttled to its own
-        ``every`` period); raises
+        observing the packed live-cell field after each step
+        (self-throttled to its own ``every`` period); raises
         :class:`~repro.errors.NumericalDivergenceError` on blow-up.
     checkpoint:
         Optional :class:`~repro.resilience.CheckpointManager`
@@ -148,41 +163,51 @@ class ScalarWaveSimulator:
         self.speed = frequency * wavelength
         self.dt = courant * dx / self.speed
         self.sources: List[WaveSource] = []
+        self._source_cells: List[np.ndarray] = []
 
         gamma_bulk = 0.0 if math.isinf(damping_time) else 1.0 / damping_time
-        self.gamma = np.full(mask.shape, gamma_bulk)
+        gamma = np.full(mask.shape, gamma_bulk)
         if absorber_width > 0.0:
-            self._add_absorbers(absorber_width, absorber_sides)
-        self.gamma[~mask] = 0.0
+            gamma = np.maximum(
+                gamma, self._absorber_damping(absorber_width, absorber_sides))
 
-        self.u = np.zeros(mask.shape)
-        self.u_prev = np.zeros(mask.shape)
         self.t = 0.0
         self.step_count = 0
         self.progress = progress
         self.progress_every = max(1, int(progress_every))
         self.watchdog = watchdog
         self.checkpoint = checkpoint
-        self._n_cells = int(mask.sum())
         self._laplacian_scale = (self.speed * self.dt / dx) ** 2
-        # Shifted neighbour masks with wrap-around explicitly forbidden
-        # (np.roll alone would couple opposite canvas edges).
-        self._neighbour_masks = {}
-        for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            shifted = np.roll(self.mask, shift, axis=axis)
-            edge_index = [slice(None)] * 2
-            edge_index[axis] = 0 if shift == 1 else -1
-            shifted[tuple(edge_index)] = False
-            self._neighbour_masks[(axis, shift)] = shifted
-        masks = self._neighbour_masks
-        self._neighbour_count = (masks[(0, 1)].astype(float)
-                                 + masks[(0, -1)] + masks[(1, 1)]
-                                 + masks[(1, -1)])
+
+        n = self._n_cells = int(mask.sum())
+        # Packed index of every canvas cell; dead cells and the frame
+        # around the canvas map to the ghost at index n, so a gather
+        # never wraps across opposite edges.
+        index = np.full((self.ny + 2, self.nx + 2), n, dtype=np.intp)
+        index[1:-1, 1:-1][mask] = np.arange(n)
+        # Row order matches the terms of the 2-D stencil: (i-1, j),
+        # (i+1, j), (i, j-1), (i, j+1).
+        self._neighbours = np.stack([index[:-2, 1:-1][mask],
+                                     index[2:, 1:-1][mask],
+                                     index[1:-1, :-2][mask],
+                                     index[1:-1, 2:][mask]])
+        self._neighbour_count = np.count_nonzero(
+            self._neighbours != n, axis=0).astype(float)
+        damp = gamma[mask] * self.dt
+        self._damp_keep = 1.0 - damp
+        self._damp_norm = 1.0 + damp
+        # Leapfrog planes (current, previous, next), rotated every step,
+        # and the neighbour-gather scratch whose row 0 becomes the
+        # Laplacian.
+        self._u = np.zeros(n + 1)
+        self._u_prev = np.zeros(n + 1)
+        self._u_next = np.zeros(n + 1)
+        self._gather = np.empty((4, n))
 
     # -- construction helpers -----------------------------------------------------
 
-    def _add_absorbers(self, width: float,
-                       sides: Tuple[str, ...]) -> None:
+    def _absorber_damping(self, width: float,
+                          sides: Tuple[str, ...]) -> np.ndarray:
         """Quadratic damping ramps within ``width`` of selected mesh edges.
 
         Absorbers belong only where waveguides *terminate* at the mesh
@@ -212,18 +237,26 @@ class ScalarWaveSimulator:
         if "bottom" in sides:
             distances.append(np.broadcast_to(self.ny - 1 - iy, self.mask.shape))
         if not distances:
-            return
+            return np.zeros(self.mask.shape)
         dist_edge = np.full(self.mask.shape, big)
         for d in distances:
             dist_edge = np.minimum(dist_edge, d.astype(float))
         ramp = np.clip(1.0 - dist_edge / n_cells, 0.0, 1.0) ** 2
-        self.gamma = np.maximum(self.gamma, gamma_max * ramp)
+        return gamma_max * ramp
 
     def add_source(self, source: WaveSource) -> None:
-        """Register a drive; source cells are forced additively."""
+        """Register a drive; source cells are forced additively.
+
+        Raises ``ValueError`` when the source region hits no mask cell:
+        such a drive could never launch a wave.
+        """
         if source.mask.shape != self.mask.shape:
             raise ValueError("source mask shape mismatch")
+        cells = np.flatnonzero(source.mask[self.mask])
+        if cells.size == 0:
+            raise ValueError("wave source region hits no mask cells")
         self.sources.append(source)
+        self._source_cells.append(cells)
 
     def point_source_mask(self, x: float, y: float,
                           radius: float = None) -> np.ndarray:
@@ -238,10 +271,30 @@ class ScalarWaveSimulator:
             raise ValueError(f"source at ({x:.3g}, {y:.3g}) hits no mask cells")
         return region
 
+    # -- packed state --------------------------------------------------------------
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        plane = np.zeros(self.mask.shape)
+        plane[self.mask] = packed[:self._n_cells]
+        plane.flags.writeable = False
+        return plane
+
+    @property
+    def u(self) -> np.ndarray:
+        """Current field as a read-only ``(ny, nx)`` plane (a fresh copy;
+        zero off the mask)."""
+        return self._unpack(self._u)
+
+    @property
+    def u_prev(self) -> np.ndarray:
+        """Previous leapfrog field as a read-only ``(ny, nx)`` plane."""
+        return self._unpack(self._u_prev)
+
     # -- integration ---------------------------------------------------------------
 
     def _apply_sources(self, t: float, field: np.ndarray) -> None:
-        """Inject the drives: soft sources add, hard sources clamp.
+        """Inject the drives into the packed ``field``: soft sources
+        add, hard sources clamp.
 
         Soft sources radiate symmetrically and are transparent to
         passing waves; the absolute launched amplitude depends on the
@@ -251,7 +304,7 @@ class ScalarWaveSimulator:
         """
         omega = 2.0 * math.pi * self.frequency
         dt2 = self.dt * self.dt
-        for src in self.sources:
+        for src, cells in zip(self.sources, self._source_cells):
             if src.start <= t <= src.stop:
                 # Smooth turn-on over 3 periods limits transient ringing.
                 ramp_time = 3.0 / self.frequency
@@ -260,38 +313,29 @@ class ScalarWaveSimulator:
                 value = (src.amplitude * envelope
                          * math.cos(omega * t + src.phase))
                 if src.hard:
-                    field[src.mask] = value
+                    field[cells] = value
                 else:
-                    field[src.mask] += dt2 * omega * omega * value
+                    field[cells] += dt2 * omega * omega * value
 
     def step(self, n_steps: int = 1) -> None:
         """Advance the field ``n_steps`` leapfrog steps.
 
         When the observer is attached (:func:`repro.obs.enable`) the
-        call is wrapped in an ``fdtd.step`` span, takes the
-        phase-profiled loop (per-step wall time split into
-        ``fdtd.phase.stencil_ms`` / ``boundary_ms`` / ``source_ms``
-        histograms), and updates the ``fdtd.steps`` /
-        ``fdtd.cell_updates`` counters plus the ``fdtd.steps_per_s``
-        and ``fdtd.cell_updates_per_s`` throughput gauges; disabled,
-        the instrumentation is a single flag check and the bare
-        :meth:`_advance` loop runs untouched.  Likewise the resilience
-        hooks: with no watchdog, no checkpoint manager and no armed
-        fault plan the guarded loop is skipped entirely.
+        call is wrapped in an ``fdtd.step`` span, the loop charges each
+        step's wall time to the ``fdtd.phase.stencil_ms`` /
+        ``boundary_ms`` / ``source_ms`` histograms, and the
+        ``fdtd.steps`` / ``fdtd.cell_updates`` counters plus the
+        ``fdtd.steps_per_s`` and ``fdtd.cell_updates_per_s``
+        throughput gauges are updated; disabled, the instrumentation
+        costs one flag check per call and one per phase.
         """
-        guarded = (self.watchdog is not None or self.checkpoint is not None
-                   or faults.active())
         if not obs.enabled():
-            advance = self._advance_guarded if guarded else self._advance
-            return advance(n_steps)
+            return self._advance(n_steps, None)
         timer = obs.PhaseTimer("fdtd")
         t0 = time.perf_counter()
         with obs.span("fdtd.step", steps=int(n_steps),
                       cells=self._n_cells):
-            if guarded:
-                self._advance_guarded(n_steps, profile_timer=timer)
-            else:
-                self._advance_profiled(n_steps, timer)
+            self._advance(n_steps, timer)
         elapsed = time.perf_counter() - t0
         obs.counter("fdtd.steps").inc(int(n_steps))
         obs.counter("fdtd.cell_updates").inc(int(n_steps) * self._n_cells)
@@ -301,99 +345,64 @@ class ScalarWaveSimulator:
                 n_steps * self._n_cells / elapsed)
         timer.flush()
 
-    def _advance(self, n_steps: int) -> None:
-        """The uninstrumented leapfrog loop."""
+    def _advance(self, n_steps: int,
+                 timer: Optional[obs.PhaseTimer]) -> None:
+        """The leapfrog loop over the packed live cells.
+
+        Per step: neighbour gathers -> Laplacian (``stencil`` phase),
+        damped update into the spare plane and rotation (``boundary``),
+        source injection (``source``), then the heartbeat, the
+        ``fdtd.step`` fault site, the watchdog and the checkpoint
+        manager.  ``timer`` is None unless the observer is attached.
+        """
+        n = self._n_cells
         c2 = self._laplacian_scale
         dt = self.dt
-        masks = self._neighbour_masks
-        neighbours = self._neighbour_count
+        neighbours = self._neighbours
+        count = self._neighbour_count
+        keep = self._damp_keep
+        norm = self._damp_norm
+        gather = self._gather
+        lap, scratch = gather[0], gather[1]
         heartbeat = self.progress
         every = self.progress_every
-        count = self.step_count
-        for _ in range(n_steps):
-            lap = (
-                np.roll(self.u, 1, axis=0) * masks[(0, 1)]
-                + np.roll(self.u, -1, axis=0) * masks[(0, -1)]
-                + np.roll(self.u, 1, axis=1) * masks[(1, 1)]
-                + np.roll(self.u, -1, axis=1) * masks[(1, -1)]
-            )
-            lap -= neighbours * self.u
-            damp = self.gamma * dt
-            new = ((2.0 * self.u - (1.0 - damp) * self.u_prev + c2 * lap)
-                   / (1.0 + damp))
-            new *= self.mask
-            self.u_prev = self.u
-            self.u = new
-            self.t += dt
-            self._apply_sources(self.t, self.u)
-            count += 1
-            if heartbeat is not None and count % every == 0:
-                heartbeat(count, self.t)
-        self.step_count = count
-
-    def _advance_profiled(self, n_steps: int, timer) -> None:
-        """The leapfrog loop with per-phase wall-time attribution.
-
-        Same update as :meth:`_advance` with one clock read between
-        phases, charging the Laplacian stencil, the damping/boundary
-        update and the source injection separately -- the breakdown
-        the batched-kernel optimisation needs.  Only ever taken when
-        the observer is attached.
-        """
-        c2 = self._laplacian_scale
-        dt = self.dt
-        masks = self._neighbour_masks
-        neighbours = self._neighbour_count
-        heartbeat = self.progress
-        every = self.progress_every
-        count = self.step_count
-        for _ in range(n_steps):
-            t0 = timer.stamp()
-            lap = (
-                np.roll(self.u, 1, axis=0) * masks[(0, 1)]
-                + np.roll(self.u, -1, axis=0) * masks[(0, -1)]
-                + np.roll(self.u, 1, axis=1) * masks[(1, 1)]
-                + np.roll(self.u, -1, axis=1) * masks[(1, -1)]
-            )
-            lap -= neighbours * self.u
-            t0 = timer.lap("stencil", t0)
-            damp = self.gamma * dt
-            new = ((2.0 * self.u - (1.0 - damp) * self.u_prev + c2 * lap)
-                   / (1.0 + damp))
-            new *= self.mask
-            self.u_prev = self.u
-            self.u = new
-            self.t += dt
-            t0 = timer.lap("boundary", t0)
-            self._apply_sources(self.t, self.u)
-            timer.lap("source", t0)
-            count += 1
-            if heartbeat is not None and count % every == 0:
-                heartbeat(count, self.t)
-        self.step_count = count
-
-    def _advance_guarded(self, n_steps: int, profile_timer=None) -> None:
-        """Leapfrog loop with per-step resilience hooks.
-
-        Taken only when a watchdog, a checkpoint manager or an armed
-        fault plan is present; the bare :meth:`_advance` hot path is
-        untouched otherwise.  ``profile_timer`` routes the inner step
-        through :meth:`_advance_profiled` when the observer is on.
-        """
         watchdog = self.watchdog
         manager = self.checkpoint
         for _ in range(n_steps):
-            if profile_timer is not None:
-                self._advance_profiled(1, profile_timer)
-            else:
-                self._advance(1)
+            if timer is not None:
+                t0 = timer.stamp()
+            u, new = self._u, self._u_next
+            live, live_new = u[:n], new[:n]
+            np.take(u, neighbours, out=gather, mode="clip")
+            lap += gather[1]
+            lap += gather[2]
+            lap += gather[3]
+            np.multiply(count, live, out=scratch)
+            lap -= scratch
+            if timer is not None:
+                t0 = timer.lap("stencil", t0)
+            np.multiply(live, 2.0, out=live_new)
+            np.multiply(keep, self._u_prev[:n], out=scratch)
+            live_new -= scratch
+            lap *= c2
+            live_new += lap
+            live_new /= norm
+            self._u_prev, self._u, self._u_next = u, new, self._u_prev
+            self.t += dt
+            if timer is not None:
+                t0 = timer.lap("boundary", t0)
+            self._apply_sources(self.t, new)
+            if timer is not None:
+                timer.lap("source", t0)
+            self.step_count += 1
+            if heartbeat is not None and self.step_count % every == 0:
+                heartbeat(self.step_count, self.t)
             if faults.active():
                 spec = faults.trip("fdtd.step")
                 if spec is not None and spec.kind == "nan":
-                    iy, ix = np.argwhere(self.mask)[0]
-                    self.u[iy, ix] = np.nan
+                    new[0] = np.nan
             if watchdog is not None:
-                watchdog.observe(self.t, step=self.step_count, u=self.u)
+                watchdog.observe(self.t, step=self.step_count, u=live_new)
             if manager is not None:
                 manager.maybe_save(self.step_count, self.state_dict)
 
@@ -401,7 +410,8 @@ class ScalarWaveSimulator:
 
     def state_dict(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         """Solver state in :class:`CheckpointManager` format: the two
-        leapfrog field planes plus scalar bookkeeping."""
+        leapfrog field planes (unpacked to ``(ny, nx)``) plus scalar
+        bookkeeping."""
         return ({"u": self.u, "u_prev": self.u_prev},
                 {"solver": "fdtd", "t": self.t,
                  "step_count": self.step_count,
@@ -414,8 +424,9 @@ class ScalarWaveSimulator:
             raise CheckpointError(
                 f"checkpoint grid {meta.get('shape')} does not match "
                 f"simulator grid {[self.ny, self.nx]}")
-        self.u = np.array(arrays["u"], dtype=float)
-        self.u_prev = np.array(arrays["u_prev"], dtype=float)
+        n = self._n_cells
+        self._u[:n] = np.asarray(arrays["u"], dtype=float)[self.mask]
+        self._u_prev[:n] = np.asarray(arrays["u_prev"], dtype=float)[self.mask]
         self.t = float(meta["t"])
         self.step_count = int(meta["step_count"])
 
@@ -459,21 +470,24 @@ class ScalarWaveSimulator:
         omega = 2.0 * math.pi * self.frequency
         steps_per_period = max(8, int(round(1.0 / (self.frequency * self.dt))))
         n_samples = n_periods * steps_per_period
-        acc = np.zeros(self.mask.shape, dtype=complex)
+        n = self._n_cells
+        acc = np.zeros(n, dtype=complex)
         # The lock-in accumulation is the "detector readout" phase of
         # the profile; stepping itself is charged by step().
         timer = obs.PhaseTimer("fdtd") if obs.enabled() else None
         for _ in range(n_samples):
             self.step(1)
             if timer is None:
-                acc += self.u * np.exp(-1j * omega * self.t)
+                acc += self._u[:n] * np.exp(-1j * omega * self.t)
             else:
                 t0 = timer.stamp()
-                acc += self.u * np.exp(-1j * omega * self.t)
+                acc += self._u[:n] * np.exp(-1j * omega * self.t)
                 timer.lap("detector", t0)
         if timer is not None:
             timer.flush()
-        return 2.0 * acc / n_samples
+        envelope = np.zeros(self.mask.shape, dtype=complex)
+        envelope[self.mask] = 2.0 * acc / n_samples
+        return envelope
 
     def amplitude_map(self, envelope: np.ndarray = None) -> np.ndarray:
         """|envelope| (computes a fresh envelope when not supplied)."""

@@ -47,6 +47,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sim.add_source(WaveSource(mask=np.ones((2, 2), dtype=bool)))
 
+    def test_inert_source_rejected(self):
+        mask = np.zeros((16, 300), dtype=bool)
+        mask[:, :100] = True
+        sim = ScalarWaveSimulator(mask, 5e-9, 55e-9, 10e9)
+        off_guide = np.zeros_like(mask)
+        off_guide[4:8, 200:204] = True
+        with pytest.raises(ValueError, match="hits no mask cells"):
+            sim.add_source(WaveSource(mask=off_guide))
+        assert sim.sources == []
+
     def test_point_source_outside_mask(self):
         mask = np.zeros((16, 300), dtype=bool)
         mask[:, :100] = True
@@ -138,3 +148,129 @@ class TestInterference:
         env = np.zeros(sim.mask.shape, dtype=complex)
         with pytest.raises(ValueError):
             sim.region_envelope(np.zeros(sim.mask.shape, dtype=bool), env)
+
+
+def _roll_reference(sim, gamma, n_steps):
+    """The 2-D ``np.roll`` leapfrog the packed kernel replaced.
+
+    Steps a copy of ``sim``'s (fresh) state over the whole canvas with
+    wrap-around masked off, exactly as the dense kernel did, and
+    returns ``(u, u_prev)``.  ``gamma`` is the 2-D damping-rate map.
+    """
+    mask = sim.mask
+    masks = {}
+    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        shifted = np.roll(mask, shift, axis=axis)
+        edge_index = [slice(None)] * 2
+        edge_index[axis] = 0 if shift == 1 else -1
+        shifted[tuple(edge_index)] = False
+        masks[(axis, shift)] = shifted
+    neighbours = (masks[(0, 1)].astype(float) + masks[(0, -1)]
+                  + masks[(1, 1)] + masks[(1, -1)])
+    c2 = (sim.speed * sim.dt / sim.dx) ** 2
+    dt = sim.dt
+    omega = 2.0 * math.pi * sim.frequency
+    gamma = np.where(mask, gamma, 0.0)
+    u = np.zeros(mask.shape)
+    u_prev = np.zeros(mask.shape)
+    t = 0.0
+    for _ in range(n_steps):
+        lap = (np.roll(u, 1, axis=0) * masks[(0, 1)]
+               + np.roll(u, -1, axis=0) * masks[(0, -1)]
+               + np.roll(u, 1, axis=1) * masks[(1, 1)]
+               + np.roll(u, -1, axis=1) * masks[(1, -1)])
+        lap -= neighbours * u
+        damp = gamma * dt
+        new = ((2.0 * u - (1.0 - damp) * u_prev + c2 * lap)
+               / (1.0 + damp))
+        new *= mask
+        u_prev, u = u, new
+        t += dt
+        for src in sim.sources:
+            if src.start <= t <= src.stop:
+                ramp_time = 3.0 / sim.frequency
+                envelope = min(1.0, (t - src.start) / ramp_time)
+                envelope = 0.5 * (1.0 - math.cos(math.pi * envelope))
+                value = (src.amplitude * envelope
+                         * math.cos(omega * t + src.phase))
+                if src.hard:
+                    u[src.mask] = value
+                else:
+                    u[src.mask] += dt * dt * omega * omega * value
+    return u, u_prev
+
+
+def _holed_mask():
+    mask = np.zeros((40, 60), dtype=bool)
+    mask[4:36, 4:56] = True
+    mask[14:26, 20:40] = False
+    return mask
+
+
+def _edge_mask():
+    # A frame plus a cross: live cells on all four canvas edges, so a
+    # gather that wrapped around would couple opposite edges.
+    mask = np.zeros((36, 48), dtype=bool)
+    mask[[0, -1], :] = True
+    mask[:, [0, -1]] = True
+    mask[16:20, :] = True
+    mask[:, 22:26] = True
+    return mask
+
+
+class TestPackedKernelEquivalence:
+    """The packed live-cell kernel against the dense ``np.roll`` update:
+    the fields must agree bit for bit."""
+
+    N_STEPS = 400
+
+    @staticmethod
+    def _soft(mask, rows, cols, phase=0.0):
+        region = np.zeros_like(mask)
+        region[rows, cols] = True
+        return WaveSource(mask=region & mask, phase=phase)
+
+    @pytest.mark.parametrize("case", ["hole", "edges", "damped",
+                                      "soft_and_hard"])
+    def test_bit_identical_to_roll_reference(self, case):
+        kwargs = dict(dx=5e-9, wavelength=55e-9, frequency=10e9)
+        if case == "hole":
+            mask = _holed_mask()
+            sources = [self._soft(mask, slice(18, 22), slice(6, 9))]
+        elif case == "edges":
+            mask = _edge_mask()
+            sources = [self._soft(mask, slice(0, 2), slice(1, 4)),
+                       self._soft(mask, slice(16, 20), slice(0, 2),
+                                  phase=math.pi)]
+        elif case == "damped":
+            mask = _holed_mask()
+            kwargs.update(damping_time=2e-10, absorber_width=40e-9,
+                          absorber_sides=("left", "top"))
+            sources = [self._soft(mask, slice(28, 32), slice(40, 44))]
+        else:
+            mask = _edge_mask()
+            hard = np.zeros_like(mask)
+            hard[16:20, 40:42] = True
+            sources = [self._soft(mask, slice(16, 20), slice(4, 6)),
+                       WaveSource(mask=hard, phase=1.0, hard=True,
+                                  start=2e-10, amplitude=0.5)]
+        sim = ScalarWaveSimulator(mask, **kwargs)
+        for src in sources:
+            sim.add_source(src)
+        gamma = np.full(mask.shape, 1.0 / kwargs.get("damping_time",
+                                                      math.inf))
+        if "absorber_width" in kwargs:
+            gamma = np.maximum(gamma, sim._absorber_damping(
+                kwargs["absorber_width"], kwargs["absorber_sides"]))
+        sim.step(self.N_STEPS)
+        u, u_prev = _roll_reference(sim, gamma, self.N_STEPS)
+        assert np.abs(u).max() > 0.0
+        np.testing.assert_array_equal(sim.u, u)
+        np.testing.assert_array_equal(sim.u_prev, u_prev)
+
+    def test_field_planes_are_read_only(self):
+        sim = ScalarWaveSimulator(_holed_mask(), 5e-9, 55e-9, 10e9)
+        with pytest.raises(ValueError):
+            sim.u[5, 5] = 1.0
+        with pytest.raises(AttributeError):
+            sim.u = np.zeros(sim.mask.shape)

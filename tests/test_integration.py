@@ -64,19 +64,26 @@ class TestXorFdtdVsNetwork:
 
 
 class TestMajorityFdtdSpotChecks:
-    """Full-geometry MAJ3 cases (one per structural class, for speed;
-    the complete 8-pattern FDTD table is exercised by the benches)."""
+    """The full 8-pattern MAJ3 table on the rasterised geometry."""
 
     @pytest.fixture(scope="class")
     def gate(self):
         return TriangleMajorityGate()
 
-    @pytest.mark.parametrize("bits", [(0, 0, 0), (1, 1, 0), (0, 1, 1)])
+    @pytest.mark.parametrize("bits", input_patterns(3))
     def test_pattern_decodes(self, gate, bits):
         result = gate.evaluate(bits, backend="fdtd")
         assert result.expected == majority(*bits)
         assert result.correct, bits
         assert result.fanout_matched, bits
+
+    def test_logic_table_matches_network(self, gate):
+        def logic(backend):
+            return {bits: {name: r.logic_value
+                           for name, r in result.outputs.items()}
+                    for bits, result in gate.truth_table(backend).items()}
+
+        assert logic("fdtd") == logic("network")
 
     def test_field_map_shape_and_content(self, gate):
         env = gate.field_map((0, 0, 0))
